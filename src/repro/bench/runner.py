@@ -30,12 +30,8 @@ __all__ = [
 ]
 
 #: Bumped when the BENCH_kernel.json layout changes incompatibly.
-#: Schema 2 added the ``host`` metadata block; schema-1 reports are
-#: still loadable (they simply carry no host information).
+#: Schema 2 added the ``host`` metadata block.
 REPORT_SCHEMA = 2
-
-#: Schemas :func:`load_report` accepts.
-_SUPPORTED_SCHEMAS = (1, 2)
 
 
 def host_clock() -> float:
@@ -196,10 +192,10 @@ def load_report(path: str) -> Dict[str, Any]:
     """Load a report written by :func:`write_report`."""
     with open(path) as handle:
         document = json.load(handle)
-    if document.get("schema") not in _SUPPORTED_SCHEMAS:
+    if document.get("schema") != REPORT_SCHEMA:
         raise ValueError(
             f"unsupported bench report schema {document.get('schema')!r} "
-            f"in {path} (expected one of {_SUPPORTED_SCHEMAS})")
+            f"in {path} (expected {REPORT_SCHEMA})")
     return document
 
 

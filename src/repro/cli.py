@@ -3,11 +3,8 @@
 Commands
 --------
 ``list``
-    Show the available experiments and workloads.
-``experiment <name>``
-    Regenerate one of the paper's tables/figures (``table1``,
-    ``figure1``, ``figure6`` ... ``figure9``) or an ablation, at quick or
-    full scale, printing the same rows/series the paper reports.
+    Show the available sweeps (tables, figures, ablations, nemesis,
+    sansim) and workloads.
 ``retwis``
     Run the Retwis benchmark on a configurable cluster and print
     throughput / abort rate / latency percentiles.
@@ -32,10 +29,12 @@ Commands
     for serializability, lost committed writes, stuck PREPARED records
     and replica divergence. Exits non-zero if the audit fails.
 ``sweep``
-    Run an experiment sweep (figures, ablations, nemesis scenarios,
-    sansim trials) across spawn-context worker processes with a
-    content-addressed cell cache (see ``repro.sweep``); the merged
-    report is byte-identical for every ``-j``.
+    Regenerate one of the paper's tables/figures (``table1``,
+    ``figure1``, ``figure6`` ... ``figure9``), an ablation, the nemesis
+    scenarios or sansim trials at quick or full scale, across
+    spawn-context worker processes with a content-addressed cell cache
+    (see ``repro.sweep``); the merged report is byte-identical for
+    every ``-j``.
 ``bench``
     Measure host-side kernel performance (events/s, timeouts/s, RPC
     round-trips/s, macro workload rates), optionally under cProfile,
@@ -49,89 +48,12 @@ import argparse
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
-from .harness import (
-    ClusterConfig,
-    run_client_caching_ablation,
-    run_figure1,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_gc_window_ablation,
-    run_packing_delay_ablation,
-    run_replication_factor_ablation,
-    run_retwis_on_cluster,
-    run_table1,
-    run_watermark_interval_ablation,
-)
+from .harness import ClusterConfig, run_retwis_on_cluster
 from .harness.cluster import BACKEND_KINDS, Cluster
 from .harness.metrics import merged_latency_histogram
 from .workloads import YCSB_WORKLOADS, YcsbInstance
 
-__all__ = ["main", "EXPERIMENTS"]
-
-#: name -> (full-scale runner, quick-scale runner)
-EXPERIMENTS: Dict[str, tuple] = {
-    "table1": (
-        lambda: run_table1(),
-        lambda: run_table1(num_keys=2000, duration=0.05, warmup=0.02,
-                           num_workers=64),
-    ),
-    "figure1": (
-        lambda: run_figure1(),
-        lambda: run_figure1(rounds=60),
-    ),
-    "figure6": (
-        lambda: run_figure6(),
-        lambda: run_figure6(client_counts=(2, 8), alphas=(0.5, 0.95),
-                            num_keys=200, duration=0.15, warmup=0.04),
-    ),
-    "figure7": (
-        lambda: run_figure7(),
-        lambda: run_figure7(alphas=(0.5, 0.8), backends=("dram", "mftl"),
-                            num_clients=10, duration=0.2, warmup=0.05),
-    ),
-    "figure8": (
-        lambda: run_figure8(),
-        lambda: run_figure8(client_counts=(8, 24),
-                            backends=("dram", "mftl"),
-                            duration=0.15, warmup=0.04),
-    ),
-    "figure9": (
-        lambda: run_figure9(),
-        lambda: run_figure9(alphas=(0.4, 0.8), num_clients=12,
-                            num_keys=4000, duration=0.2, warmup=0.05),
-    ),
-    "ablation-packing": (
-        lambda: run_packing_delay_ablation(),
-        lambda: run_packing_delay_ablation(
-            delays=(0.0, 1e-3), duration=0.04, warmup=0.01,
-            num_workers=32),
-    ),
-    "ablation-replication": (
-        lambda: run_replication_factor_ablation(),
-        lambda: run_replication_factor_ablation(
-            replica_counts=(1, 3), num_clients=4, duration=0.12,
-            warmup=0.03),
-    ),
-    "ablation-watermark": (
-        lambda: run_watermark_interval_ablation(),
-        lambda: run_watermark_interval_ablation(
-            intervals=(0.01, 0.2), num_clients=4, duration=0.15,
-            warmup=0.04),
-    ),
-    "ablation-gc-window": (
-        lambda: run_gc_window_ablation(),
-        lambda: run_gc_window_ablation(
-            windows=(0.002, 0.02), duration=0.04, warmup=0.01,
-            num_workers=32),
-    ),
-    "ablation-caching": (
-        lambda: run_client_caching_ablation(),
-        lambda: run_client_caching_ablation(
-            num_clients=4, txns_per_client=60),
-    ),
-}
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -141,14 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "with Precision Time' (ASPLOS 2017)"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list experiments and workloads")
-
-    exp = sub.add_parser("experiment",
-                         help="regenerate a paper table/figure")
-    exp.add_argument("name", choices=sorted(EXPERIMENTS))
-    exp.add_argument("--scale", choices=("quick", "full"),
-                     default="quick")
-    exp.add_argument("--out", help="also write the rendering to a file")
+    sub.add_parser("list", help="list sweeps and workloads")
 
     def add_cluster_arguments(command):
         command.add_argument("--backend", choices=BACKEND_KINDS,
@@ -231,9 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="run an experiment sweep across worker processes with "
-             "cell caching (deterministic: merged reports are "
-             "byte-identical for every -j)")
+        help="regenerate a paper table/figure, ablation or fault sweep "
+             "across worker processes with cell caching (deterministic: "
+             "merged reports are byte-identical for every -j)")
     sweep.add_argument("name", nargs="?", default=None,
                        help="sweep to run (see --list)")
     sweep.add_argument("--list", action="store_true", dest="list_sweeps",
@@ -288,8 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_list(_args) -> int:
-    print("experiments:")
-    for name in sorted(EXPERIMENTS):
+    from .sweep import sweep_names
+
+    print("sweeps:")
+    for name in sweep_names():
         print(f"  {name}")
     print("workloads:")
     print("  retwis (Table 2 mix; --alpha sets contention)")
@@ -297,18 +214,6 @@ def _command_list(_args) -> int:
         mix = ", ".join(f"{op} {weight:.0f}%"
                         for op, weight in YCSB_WORKLOADS[name])
         print(f"  ycsb {name}: {mix}")
-    return 0
-
-
-def _command_experiment(args) -> int:
-    full, quick = EXPERIMENTS[args.name]
-    result = full() if args.scale == "full" else quick()
-    text = result.render()
-    print(text)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-        print(f"\n[written to {args.out}]")
     return 0
 
 
@@ -568,7 +473,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers: Dict[str, Callable] = {
         "list": _command_list,
-        "experiment": _command_experiment,
         "retwis": _command_retwis,
         "ycsb": _command_ycsb,
         "analyze": _command_analyze,

@@ -1,13 +1,7 @@
 """Experiment harness: cluster construction, metric windows, Retwis
-runner, per-table/figure experiment drivers, and plain-text reporting."""
+runner, per-grid-point experiment and ablation functions, and plain-text
+reporting."""
 
-from .ablations import (
-    run_client_caching_ablation,
-    run_gc_window_ablation,
-    run_packing_delay_ablation,
-    run_replication_factor_ablation,
-    run_watermark_interval_ablation,
-)
 from .audit import AuditReport, collect_history, run_audit, sync_replicas
 from .chaos import (
     ChaosMonkey,
@@ -21,15 +15,7 @@ from .chaos import (
     partition_primary_from_backups,
 )
 from .cluster import BACKEND_KINDS, Cluster, ClusterConfig
-from .experiments import (
-    ExperimentResult,
-    run_figure1,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_table1,
-)
+from .experiments import ExperimentResult
 from .metrics import StatsSnapshot, WindowMetrics, snapshot, window_metrics
 from .nemesis import (
     SCENARIOS,
@@ -45,17 +31,6 @@ __all__ = [
     "ClusterConfig",
     "BACKEND_KINDS",
     "ExperimentResult",
-    "run_table1",
-    "run_figure1",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_packing_delay_ablation",
-    "run_replication_factor_ablation",
-    "run_watermark_interval_ablation",
-    "run_gc_window_ablation",
-    "run_client_caching_ablation",
     "StatsSnapshot",
     "WindowMetrics",
     "snapshot",

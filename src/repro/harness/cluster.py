@@ -250,8 +250,7 @@ class Cluster:
 
     def pause_server(self, name: str) -> None:
         """Cut a server's links. Its memory, timers, and in-flight
-        handlers survive; :meth:`unpause_server` restores it verbatim.
-        This is the old ``fail_server`` behaviour, now honestly named."""
+        handlers survive; :meth:`unpause_server` restores it verbatim."""
         if name in self._amnesia_crashed or name in self._restarting:
             raise RuntimeError(
                 f"{name} is amnesia-crashed; restart_server() it instead "
@@ -267,20 +266,6 @@ class Cluster:
                 f"gone — use restart_server() to replay the WAL")
         self._paused.discard(name)
         self.network.recover(name)
-
-    #: Historical name: ``fail_server`` always only cut links.
-    fail_server = pause_server
-
-    def recover_server(self, name: str) -> None:
-        """Removed: silently resurrecting a 'failed' server with all its
-        volatile state intact made every crash test a lie."""
-        raise RuntimeError(
-            "Cluster.recover_server() no longer exists: it resurrected "
-            "the server's memory, timers, and in-flight handlers as if "
-            "the failure never happened. Use unpause_server() to undo a "
-            "pause_server()/fail_server() link cut, or restart_server() "
-            "to bring an amnesia-crashed server back through WAL replay "
-            "and the recovery protocol.")
 
     def crash_server(self, name: str, amnesia: bool = True) -> None:
         """Fail-stop ``name``. With ``amnesia`` (the default) this is a

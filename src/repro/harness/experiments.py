@@ -1,17 +1,20 @@
-"""Experiment drivers: one function per table/figure in the paper (§5).
+"""Experiment points: one function per grid point of each table/figure (§5).
 
-Every driver returns an :class:`ExperimentResult` whose ``render()``
-produces the same rows/series the paper reports. Scale parameters default
-to values that finish in seconds-to-minutes of wall clock; the paper's
-full scale (millions of keys, 15-minute runs) is reachable by raising
-them, but the *shapes* — who wins, by what factor, where the crossovers
-fall — are what the reproduction validates (see EXPERIMENTS.md).
+Each ``*_cell`` function runs one independent grid point — a fresh
+``Simulator`` and an RNG derived from the point's own seed — and returns
+the cell payload (``name``/``headers``/``rows``/``series``/``notes``).
+The grids, their full and quick scales and their loop nesting live in
+:mod:`repro.sweep.cells`; ``repro.sweep.sweep_experiment(name)`` runs a
+whole figure and merges the points into one :class:`ExperimentResult`.
+Scale parameters finish in seconds-to-minutes of wall clock; the
+*shapes* — who wins, by what factor, where the crossovers fall — are
+what the reproduction validates (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..baselines.centiman import CentimanClient, WatermarkBoard
 from ..clocks.perfect import PerfectClock
@@ -20,6 +23,7 @@ from ..flash.geometry import FlashGeometry
 from ..ftl.dram import DRAMBackend
 from ..ftl.mftl import MFTLBackend
 from ..ftl.vftl import VFTLBackend
+from ..milana.client import MilanaClient
 from ..semel.client import SemelClient
 from ..semel.server import StorageServer
 from ..semel.sharding import Directory
@@ -36,12 +40,12 @@ from .runner import run_retwis_on_cluster
 
 __all__ = [
     "ExperimentResult",
-    "run_table1",
-    "run_figure1",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
+    "table1_cell",
+    "figure1_cell",
+    "figure6_cell",
+    "figure7_cell",
+    "figure8_cell",
+    "figure9_cell",
 ]
 
 
@@ -65,6 +69,14 @@ class ExperimentResult:
         return "\n".join(parts)
 
 
+def _payload(name: str, headers: List[str], rows: List[List[Any]],
+             notes: str,
+             series: Optional[Dict[str, Tuple[list, list]]] = None
+             ) -> Dict[str, Any]:
+    return {"name": name, "headers": headers, "rows": rows,
+            "series": series or {}, "notes": notes}
+
+
 # ---------------------------------------------------------------------------
 # Table 1: single-SSD multi-version FTL performance (MFTL vs VFTL)
 # ---------------------------------------------------------------------------
@@ -86,61 +98,43 @@ def _table1_geometry(num_keys: int) -> FlashGeometry:
                          num_blocks=num_blocks, num_channels=32)
 
 
-def run_table1(
-    num_keys: int = 4000,
-    duration: float = 0.12,
-    warmup: float = 0.04,
-    num_workers: int = 128,
-    get_percents: Sequence[float] = (100, 75, 50, 25),
-    seed: int = 7,
-) -> ExperimentResult:
-    """Table 1: throughput (kreq/s) and GET/PUT latency, VFTL vs MFTL.
+def table1_cell(get_percent: float, num_keys: int, duration: float,
+                warmup: float, num_workers: int, seed: int
+                ) -> Dict[str, Any]:
+    """Table 1 row: throughput (kreq/s) and GET/PUT latency, VFTL vs MFTL.
 
     A single emulated SSD per §5.1: pre-populated store, closed-loop
     workers bounded by the hardware queue depth, GC active via a
-    watermark window.
+    watermark window. One row pairs both FTLs at one GET percentage.
     """
-    cells: Dict[Tuple[str, float], Any] = {}
-    for kind in ("vftl", "mftl"):
-        for get_percent in get_percents:
-            sim = Simulator()
-            geometry = _table1_geometry(num_keys)
-            device = FlashDevice(sim, geometry)
-            if kind == "mftl":
-                backend = MFTLBackend(sim, device)
-            else:
-                backend = VFTLBackend(sim, device)
-            result = run_kv_microbench(
-                sim, backend, SeededRng(seed).substream(f"{kind}")
-                .substream(f"g{get_percent}"),
-                num_keys=num_keys, get_percent=get_percent,
-                duration=duration, warmup=warmup,
-                num_workers=num_workers, version_window=0.005)
-            cells[(kind, get_percent)] = (
-                result, backend.write_amplification)
-
-    rows = []
-    for get_percent in get_percents:
-        vftl, vftl_wa = cells[("vftl", get_percent)]
-        mftl, mftl_wa = cells[("mftl", get_percent)]
-        rows.append([
-            get_percent,
-            vftl.throughput / 1e3, mftl.throughput / 1e3,
-            vftl.mean_get_latency * 1e6, mftl.mean_get_latency * 1e6,
-            vftl.mean_put_latency * 1e6, mftl.mean_put_latency * 1e6,
-            vftl_wa, mftl_wa,
-        ])
-    return ExperimentResult(
-        name="Table 1: Single SSD Multi-version FTL Performance",
-        headers=["Get%", "VFTL kreq/s", "MFTL kreq/s",
-                 "VFTL get us", "MFTL get us",
-                 "VFTL put us", "MFTL put us",
-                 "VFTL WA", "MFTL WA"],
-        rows=rows,
-        notes=("Paper shape: MFTL wins throughput at >=50% GET "
-               "(up to +45%), much lower GET latency (up to 7x); VFTL "
-               "wins at 25% GET via lower packing delay."),
-    )
+    measured = {}
+    for kind, backend_type in (("vftl", VFTLBackend), ("mftl", MFTLBackend)):
+        sim = Simulator()
+        backend = backend_type(
+            sim, FlashDevice(sim, _table1_geometry(num_keys)))
+        result = run_kv_microbench(
+            sim, backend,
+            SeededRng(seed).substream(kind).substream(f"g{get_percent}"),
+            num_keys=num_keys, get_percent=get_percent,
+            duration=duration, warmup=warmup,
+            num_workers=num_workers, version_window=0.005)
+        measured[kind] = (result, backend.write_amplification)
+    vftl, vftl_wa = measured["vftl"]
+    mftl, mftl_wa = measured["mftl"]
+    return _payload(
+        "Table 1: Single SSD Multi-version FTL Performance",
+        ["Get%", "VFTL kreq/s", "MFTL kreq/s",
+         "VFTL get us", "MFTL get us",
+         "VFTL put us", "MFTL put us",
+         "VFTL WA", "MFTL WA"],
+        [[get_percent,
+          vftl.throughput / 1e3, mftl.throughput / 1e3,
+          vftl.mean_get_latency * 1e6, mftl.mean_get_latency * 1e6,
+          vftl.mean_put_latency * 1e6, mftl.mean_put_latency * 1e6,
+          vftl_wa, mftl_wa]],
+        "Paper shape: MFTL wins throughput at >=50% GET "
+        "(up to +45%), much lower GET latency (up to 7x); VFTL "
+        "wins at 25% GET via lower packing delay.")
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +152,10 @@ class _OffsetClock(PerfectClock):
         return self.sim.now + self._offset
 
 
-def run_figure1(
-    write_latencies: Sequence[float] = (0.2e-6, 100e-6),
-    skews: Sequence[float] = (0.0, 1e-6, 10e-6, 100e-6, 1e-3),
-    rounds: int = 150,
-    seed: int = 3,
-) -> ExperimentResult:
-    """Figure 1: spurious rejections of a lagging client vs clock skew.
+def figure1_cell(write_latency: float, skew: float, rounds: int,
+                 seed: int) -> Dict[str, Any]:
+    """Figure 1 point: spurious rejections of a lagging client at one
+    (write latency, clock skew).
 
     Two clients alternately update one shared object through a SEMEL
     server; the lagging client's writes are rejected (stale timestamp)
@@ -172,270 +163,193 @@ def run_figure1(
     epsilon - t_w) per update, so skews above the write latency hurt and
     skews below it are free.
     """
-    rows = []
-    series: Dict[str, Tuple[list, list]] = {}
-    for t_w in write_latencies:
-        xs, ys = [], []
-        for epsilon in skews:
-            sim = Simulator()
-            rng = SeededRng(seed)
-            network = Network(sim, rng, latency=FixedLatency(5e-6))
-            directory = Directory({"shard0": ["srv"]})
-            StorageServer(sim, network, directory, "srv", "shard0",
-                          DRAMBackend(sim, write_latency=t_w, op_cpu=0.0))
-            leader = SemelClient(
-                sim, network, directory,
-                _OffsetClock(sim, +epsilon / 2), client_id=1)
-            laggard = SemelClient(
-                sim, network, directory,
-                _OffsetClock(sim, -epsilon / 2), client_id=2)
-            rejections = 0
-            attempts = 0
+    t_w, epsilon = write_latency, skew
+    sim = Simulator()
+    network = Network(sim, SeededRng(seed), latency=FixedLatency(5e-6))
+    directory = Directory({"shard0": ["srv"]})
+    StorageServer(sim, network, directory, "srv", "shard0",
+                  DRAMBackend(sim, write_latency=t_w, op_cpu=0.0))
+    leader = SemelClient(
+        sim, network, directory,
+        _OffsetClock(sim, +epsilon / 2), client_id=1)
+    laggard = SemelClient(
+        sim, network, directory,
+        _OffsetClock(sim, -epsilon / 2), client_id=2)
+    rejections = 0
+    attempts = 0
 
-            def duel():
-                nonlocal rejections, attempts
-                for _ in range(rounds):
-                    yield leader.put("shared", "from-leader")
-                    while True:
-                        attempts += 1
-                        try:
-                            yield laggard.put("shared", "from-laggard")
-                            break
-                        except AppError:
-                            rejections += 1
-                            yield sim.timeout(max(t_w, 1e-6))
+    def duel():
+        nonlocal rejections, attempts
+        for _ in range(rounds):
+            yield leader.put("shared", "from-leader")
+            while True:
+                attempts += 1
+                try:
+                    yield laggard.put("shared", "from-laggard")
+                    break
+                except AppError:
+                    rejections += 1
+                    yield sim.timeout(max(t_w, 1e-6))
 
-            sim.run_until_event(sim.process(duel()))
-            reject_rate = rejections / attempts if attempts else 0.0
-            rows.append([t_w * 1e6, epsilon * 1e6, reject_rate])
-            xs.append(epsilon * 1e6)
-            ys.append(reject_rate)
-        series[f"t_w={t_w * 1e6:.1f}us"] = (xs, ys)
-    return ExperimentResult(
-        name="Figure 1: Impact of Clock Skew",
-        headers=["t_w (us)", "skew eps (us)", "reject rate"],
-        rows=rows,
-        series=series,
-        notes=("Paper shape: rejections appear once eps >> t_w; fast "
-               "(DRAM-class) devices suffer at far smaller skews than "
-               "flash."),
-    )
+    sim.run_until_event(sim.process(duel()))
+    reject_rate = rejections / attempts if attempts else 0.0
+    return _payload(
+        "Figure 1: Impact of Clock Skew",
+        ["t_w (us)", "skew eps (us)", "reject rate"],
+        [[t_w * 1e6, epsilon * 1e6, reject_rate]],
+        "Paper shape: rejections appear once eps >> t_w; fast "
+        "(DRAM-class) devices suffer at far smaller skews than "
+        "flash.",
+        {f"t_w={t_w * 1e6:.1f}us": ([epsilon * 1e6], [reject_rate])})
 
 
 # ---------------------------------------------------------------------------
 # Figure 6: abort rate vs number of clients, single- vs multi-version FTL
 # ---------------------------------------------------------------------------
 
-def run_figure6(
-    client_counts: Sequence[int] = (2, 4, 8, 12, 16),
-    alphas: Sequence[float] = (0.5, 0.75, 0.95),
-    num_keys: int = 400,
-    duration: float = 0.4,
-    warmup: float = 0.1,
-    seed: int = 11,
-) -> ExperimentResult:
-    """Figure 6: multi-versioning cuts abort rates under contention.
+def figure6_cell(alpha: float, num_clients: int, num_keys: int,
+                 duration: float, warmup: float, seed: int
+                 ) -> Dict[str, Any]:
+    """Figure 6 point: multi-versioning cuts abort rates under contention.
 
     Single storage node, no clock skew (all clients share the one VM's
-    clock in the paper), Retwis Table-2 mix, single- vs multi-version
-    FTL.
+    clock in the paper), Retwis Table-2 mix; one row each for the
+    single- and multi-version FTL.
     """
     rows = []
-    series: Dict[str, Tuple[list, list]] = {}
+    series = {}
     for backend in ("sftl", "mftl"):
-        for alpha in alphas:
-            xs, ys = [], []
-            for num_clients in client_counts:
-                config = ClusterConfig(
-                    num_shards=1, replicas_per_shard=1,
-                    num_clients=num_clients, backend=backend,
-                    clock_preset="perfect", seed=seed,
-                    populate_keys=num_keys,
-                    network_base_latency=20e-6)
-                result = run_retwis_on_cluster(
-                    config, alpha=alpha, duration=duration, warmup=warmup)
-                rows.append([backend, alpha, num_clients,
-                             result.abort_rate])
-                xs.append(num_clients)
-                ys.append(result.abort_rate)
-            series[f"{backend} a={alpha}"] = (xs, ys)
-    return ExperimentResult(
-        name="Figure 6: Transaction abort rate vs number of clients",
-        headers=["backend", "alpha", "clients", "abort rate"],
-        rows=rows,
-        series=series,
-        notes=("Paper shape: abort rate grows with clients and "
-               "contention; the multi-version FTL (mftl) stays well below "
-               "the single-version FTL (sftl) because tardy read-only "
-               "transactions read a snapshot instead of aborting."),
-    )
+        config = ClusterConfig(
+            num_shards=1, replicas_per_shard=1,
+            num_clients=num_clients, backend=backend,
+            clock_preset="perfect", seed=seed,
+            populate_keys=num_keys,
+            network_base_latency=20e-6)
+        result = run_retwis_on_cluster(
+            config, alpha=alpha, duration=duration, warmup=warmup)
+        rows.append([backend, alpha, num_clients, result.abort_rate])
+        series[f"{backend} a={alpha}"] = ([num_clients],
+                                          [result.abort_rate])
+    return _payload(
+        "Figure 6: Transaction abort rate vs number of clients",
+        ["backend", "alpha", "clients", "abort rate"],
+        rows,
+        "Paper shape: abort rate grows with clients and "
+        "contention; the multi-version FTL (mftl) stays well below "
+        "the single-version FTL (sftl) because tardy read-only "
+        "transactions read a snapshot instead of aborting.",
+        series)
 
 
 # ---------------------------------------------------------------------------
 # Figure 7: PTP vs NTP abort rates across storage backends
 # ---------------------------------------------------------------------------
 
-def run_figure7(
-    alphas: Sequence[float] = (0.4, 0.5, 0.6, 0.7, 0.8),
-    clock_presets: Sequence[str] = ("ptp-sw", "ntp"),
-    backends: Sequence[str] = ("dram", "vftl", "mftl"),
-    num_clients: int = 20,
-    num_keys: int = 1000,
-    duration: float = 0.4,
-    warmup: float = 0.1,
-    seed: int = 13,
-) -> ExperimentResult:
-    """Figure 7: MILANA abort rates, PTP vs NTP x {DRAM, VFTL, MFTL}.
+def figure7_cell(clock_preset: str, backend: str, alpha: float,
+                 num_clients: int, num_keys: int, duration: float,
+                 warmup: float, seed: int) -> Dict[str, Any]:
+    """Figure 7 point: MILANA abort rate for one clock x backend x alpha.
 
     1 primary + 2 backups, 20 Retwis instances retrying aborted
     transactions immediately with the same keys (§5.2).
     """
-    rows = []
-    series: Dict[str, Tuple[list, list]] = {}
-    for clock_preset in clock_presets:
-        for backend in backends:
-            xs, ys = [], []
-            for alpha in alphas:
-                config = ClusterConfig(
-                    num_shards=1, replicas_per_shard=3,
-                    num_clients=num_clients, backend=backend,
-                    clock_preset=clock_preset, seed=seed,
-                    populate_keys=num_keys)
-                result = run_retwis_on_cluster(
-                    config, alpha=alpha, duration=duration, warmup=warmup)
-                rows.append([clock_preset, backend, alpha,
-                             result.abort_rate])
-                xs.append(alpha)
-                ys.append(result.abort_rate)
-            series[f"{clock_preset}/{backend}"] = (xs, ys)
-    return ExperimentResult(
-        name="Figure 7: PTP vs NTP MILANA transaction abort rates",
-        headers=["clock", "backend", "alpha", "abort rate"],
-        rows=rows,
-        series=series,
-        notes=("Paper shape: PTP below NTP everywhere (up to 43% lower "
-               "at high contention); under NTP the DRAM backend is worst "
-               "(fastest writes -> most skew-exposed), VFTL slightly "
-               "above MFTL."),
-    )
+    config = ClusterConfig(
+        num_shards=1, replicas_per_shard=3,
+        num_clients=num_clients, backend=backend,
+        clock_preset=clock_preset, seed=seed,
+        populate_keys=num_keys)
+    result = run_retwis_on_cluster(
+        config, alpha=alpha, duration=duration, warmup=warmup)
+    return _payload(
+        "Figure 7: PTP vs NTP MILANA transaction abort rates",
+        ["clock", "backend", "alpha", "abort rate"],
+        [[clock_preset, backend, alpha, result.abort_rate]],
+        "Paper shape: PTP below NTP everywhere (up to 43% lower "
+        "at high contention); under NTP the DRAM backend is worst "
+        "(fastest writes -> most skew-exposed), VFTL slightly "
+        "above MFTL.",
+        {f"{clock_preset}/{backend}": ([alpha], [result.abort_rate])})
 
 
 # ---------------------------------------------------------------------------
 # Figure 8: latency vs throughput with/without local validation
 # ---------------------------------------------------------------------------
 
-def run_figure8(
-    client_counts: Sequence[int] = (4, 8, 16, 28, 40),
-    backends: Sequence[str] = ("dram", "vftl", "mftl"),
-    local_validation: Sequence[bool] = (True, False),
-    alpha: float = 0.6,
-    num_keys: int = 3000,
-    duration: float = 0.4,
-    warmup: float = 0.1,
-    seed: int = 17,
-) -> ExperimentResult:
-    """Figure 8: Retwis latency vs throughput, 3 shards x 3 replicas,
-    75 % read-only mix, local validation on/off."""
-    rows = []
-    series: Dict[str, Tuple[list, list]] = {}
-    for backend in backends:
-        for lv in local_validation:
-            xs, ys = [], []
-            for num_clients in client_counts:
-                config = ClusterConfig(
-                    num_shards=3, replicas_per_shard=3,
-                    num_clients=num_clients, backend=backend,
-                    clock_preset="ptp-sw", seed=seed,
-                    populate_keys=num_keys, local_validation=lv)
-                result = run_retwis_on_cluster(
-                    config, alpha=alpha, duration=duration, warmup=warmup,
-                    mix=RETWIS_MIX_75_READONLY)
-                rows.append([
-                    backend, "LV" if lv else "noLV", num_clients,
-                    result.throughput,
-                    result.mean_latency * 1e3,
-                    result.metrics.network_bandwidth_used / 1e6,
-                ])
-                xs.append(result.throughput)
-                ys.append(result.mean_latency * 1e3)
-            series[f"{backend}/{'LV' if lv else 'noLV'}"] = (xs, ys)
-    return ExperimentResult(
-        name="Figure 8: Retwis transaction latency vs throughput",
-        headers=["backend", "mode", "clients", "txn/s", "latency ms",
-                 "wire MB/s"],
-        rows=rows,
-        series=series,
-        notes=("Paper shape: local validation gives up to 55% higher "
-               "throughput and 35% lower latency; MFTL beats VFTL by "
-               "~15%/10%; VFTL+LV beats MFTL without LV."),
-    )
+def figure8_cell(backend: str, local_validation: bool, num_clients: int,
+                 alpha: float, num_keys: int, duration: float,
+                 warmup: float, seed: int) -> Dict[str, Any]:
+    """Figure 8 point: Retwis latency and throughput, 3 shards x 3
+    replicas, 75 % read-only mix, local validation on or off."""
+    config = ClusterConfig(
+        num_shards=3, replicas_per_shard=3,
+        num_clients=num_clients, backend=backend,
+        clock_preset="ptp-sw", seed=seed,
+        populate_keys=num_keys, local_validation=local_validation)
+    result = run_retwis_on_cluster(
+        config, alpha=alpha, duration=duration, warmup=warmup,
+        mix=RETWIS_MIX_75_READONLY)
+    mode = "LV" if local_validation else "noLV"
+    return _payload(
+        "Figure 8: Retwis transaction latency vs throughput",
+        ["backend", "mode", "clients", "txn/s", "latency ms",
+         "wire MB/s"],
+        [[backend, mode, num_clients,
+          result.throughput,
+          result.mean_latency * 1e3,
+          result.metrics.network_bandwidth_used / 1e6]],
+        "Paper shape: local validation gives up to 55% higher "
+        "throughput and 35% lower latency; MFTL beats VFTL by "
+        "~15%/10%; VFTL+LV beats MFTL without LV.",
+        {f"{backend}/{mode}": ([result.throughput],
+                               [result.mean_latency * 1e3])})
 
 
 # ---------------------------------------------------------------------------
 # Figure 9: MILANA vs Centiman local validation
 # ---------------------------------------------------------------------------
 
-def run_figure9(
-    alphas: Sequence[float] = (0.4, 0.5, 0.6, 0.7, 0.8),
-    num_clients: int = 20,
-    num_keys: int = 10000,
-    duration: float = 0.3,
-    warmup: float = 0.05,
-    dissemination_every: int = 15,
-    seed: int = 19,
-) -> ExperimentResult:
-    """Figure 9: throughput vs contention, MILANA vs Centiman-style
-    watermark local validation (3 shards, no replication, MFTL)."""
-    rows = []
-    series: Dict[str, Tuple[list, list]] = {}
-    for system in ("milana", "centiman"):
-        xs, ys = [], []
-        for alpha in alphas:
-            board = WatermarkBoard()
+def figure9_cell(system: str, alpha: float, num_clients: int,
+                 num_keys: int, duration: float, warmup: float,
+                 dissemination_every: int, seed: int) -> Dict[str, Any]:
+    """Figure 9 point: throughput at one contention level, MILANA or
+    Centiman-style watermark local validation (3 shards, no
+    replication, MFTL)."""
+    board = WatermarkBoard()
 
-            def factory(sim, network, directory, clock, client_id, lv,
-                        _board=board):
-                if system == "centiman":
-                    return CentimanClient(
-                        sim, network, directory, clock,
-                        client_id=client_id,
-                        watermark_board=_board,
-                        dissemination_every=dissemination_every)
-                from ..milana.client import MilanaClient
-                return MilanaClient(sim, network, directory, clock,
-                                    client_id=client_id,
-                                    local_validation=lv)
+    def factory(sim, network, directory, clock, client_id, lv):
+        if system == "centiman":
+            return CentimanClient(
+                sim, network, directory, clock,
+                client_id=client_id,
+                watermark_board=board,
+                dissemination_every=dissemination_every)
+        return MilanaClient(sim, network, directory, clock,
+                            client_id=client_id,
+                            local_validation=lv)
 
-            config = ClusterConfig(
-                num_shards=3, replicas_per_shard=1,
-                num_clients=num_clients, backend="mftl",
-                clock_preset="ptp-sw", seed=seed,
-                populate_keys=num_keys, client_factory=factory)
-            result = run_retwis_on_cluster(
-                config, alpha=alpha, duration=duration, warmup=warmup,
-                mix=RETWIS_MIX_75_READONLY)
-            lv_fraction = 1.0
-            if system == "centiman":
-                attempts = sum(
-                    c.local_validation_attempts
-                    for c in result.cluster.clients)
-                successes = sum(
-                    c.local_validation_successes
-                    for c in result.cluster.clients)
-                lv_fraction = successes / attempts if attempts else 0.0
-            rows.append([system, alpha, result.throughput,
-                         lv_fraction, result.abort_rate])
-            xs.append(alpha)
-            ys.append(result.throughput)
-        series[system] = (xs, ys)
-    return ExperimentResult(
-        name="Figure 9: Comparison of Local Validation Techniques",
-        headers=["system", "alpha", "txn/s", "local-val fraction",
-                 "abort rate"],
-        rows=rows,
-        series=series,
-        notes=("Paper shape: equal throughput at alpha=0.4; Centiman's "
-               "locally-validated fraction collapses (89% -> 25%) as "
-               "contention rises, costing ~20% throughput at alpha=0.8; "
-               "MILANA locally validates all read-only transactions."),
-    )
+    config = ClusterConfig(
+        num_shards=3, replicas_per_shard=1,
+        num_clients=num_clients, backend="mftl",
+        clock_preset="ptp-sw", seed=seed,
+        populate_keys=num_keys, client_factory=factory)
+    result = run_retwis_on_cluster(
+        config, alpha=alpha, duration=duration, warmup=warmup,
+        mix=RETWIS_MIX_75_READONLY)
+    lv_fraction = 1.0
+    if system == "centiman":
+        attempts = sum(
+            c.local_validation_attempts for c in result.cluster.clients)
+        successes = sum(
+            c.local_validation_successes for c in result.cluster.clients)
+        lv_fraction = successes / attempts if attempts else 0.0
+    return _payload(
+        "Figure 9: Comparison of Local Validation Techniques",
+        ["system", "alpha", "txn/s", "local-val fraction",
+         "abort rate"],
+        [[system, alpha, result.throughput, lv_fraction,
+          result.abort_rate]],
+        "Paper shape: equal throughput at alpha=0.4; Centiman's "
+        "locally-validated fraction collapses (89% -> 25%) as "
+        "contention rises, costing ~20% throughput at alpha=0.8; "
+        "MILANA locally validates all read-only transactions.",
+        {system: ([alpha], [result.throughput])})

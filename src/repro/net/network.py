@@ -46,6 +46,8 @@ __all__ = ["Network", "NetworkStats"]
 class _Delivery(Event):
     """A scheduled message arrival, as one pre-succeeded heap entry.
 
+    Every message travels this way, with or without link faults.
+
     Construction is fully inlined in the style of
     :class:`~repro.sim.events.Timeout`: the event is born triggered,
     carries the message envelope in its own slots, and its single
@@ -117,8 +119,8 @@ class Network:
         self._inboxes: Dict[str, Store] = {}
         self._crashed: Set[str] = set()
         self._faults: Optional[LinkFaults] = None
-        # Bound once so each fast-path delivery shares one callback
-        # object instead of allocating a new bound method per message.
+        # Bound once so each delivery shares one callback object instead
+        # of allocating a new bound method per message.
         self._delivery_callback = self._finish_delivery
         # Per-network RPC request ids: identical seeds give identical
         # traces regardless of what other Simulators ran in-process.
@@ -229,29 +231,13 @@ class Network:
         edge = (src, dst)
         stats.bytes_by_edge[edge] = stats.bytes_by_edge.get(edge, 0) + size
         stats.total_bytes += size
-        # Fast path: a single arrival event per message instead of the
-        # process/timeout/inbox-put chain (one heap entry rather than
-        # four, and no generator frames). Kept to the no-active-faults
-        # case so the legacy chain stays exercised under nemesis runs;
-        # both paths draw latency identically above, re-check crashes at
-        # arrival, and wake inbox getters in the same order, so the
-        # message schedule is the same either way.
-        if self._faults is not None and self._faults.active:
-            self.sim.process(self._deliver(src, dst, message, delay))
-        else:
-            _Delivery(self, src, dst, message, delay)
-
-    def _deliver(self, src: str, dst: str, message: Any, delay: float):
-        yield self.sim.timeout(delay)
-        if dst in self._crashed or src in self._crashed:
-            # Crashed while the message was in flight.
-            self.stats.messages_dropped += 1
-            return
-        self.stats.messages_delivered += 1
-        yield self._inboxes[dst].put(message)
+        # One arrival event per message (one heap entry, no generator
+        # frames); link-fault spikes arrive through ``extra_delay``.
+        _Delivery(self, src, dst, message, delay)
 
     def _finish_delivery(self, event: "_Delivery") -> None:
-        """Complete a fast-path arrival: the inline `_deliver` body."""
+        """Complete an arrival: drop it if an endpoint crashed in
+        flight, else hand it to the destination inbox."""
         src = event.src
         dst = event.dst
         if dst in self._crashed or src in self._crashed:

@@ -1,17 +1,19 @@
 """Cell enumeration: decompose a sweep into independent grid points.
 
 A *cell* is one independently runnable grid point of an experiment
-sweep. The decomposition leans on a property every harness driver
-already has: each grid point builds a fresh ``Simulator`` and derives
-its RNG from a fixed seed (or a per-point substream that draws nothing
-from the parent), so running one point alone produces bit-identical
-results to running it inside the full driver loop.
+sweep: a point function from :mod:`repro.harness.experiments` or
+:mod:`repro.harness.ablations` (or a nemesis/sansim/selftest runner in
+:mod:`repro.sweep.worker`) called with the cell's parameters. Each point
+builds a fresh ``Simulator`` and derives its RNG from a fixed seed (or a
+per-point substream that draws nothing from the parent), so a point run
+alone is bit-identical to the same point run anywhere else.
 
-Cells are enumerated in **canonical order** — exactly the driver's loop
-nesting — so that results merged in cell order reproduce the serial
-driver's row order. Grid parameters may be overridden per sweep
-invocation (``repro sweep figure8 --scale quick`` and the benchmark
-drivers in ``benchmarks/`` both go through here).
+This module is the one place where every sweep's grid values — full and
+quick scale — and loop nesting are written. Cells are enumerated in
+**canonical order** (outermost axis first), and merging results in cell
+order gives a figure's rows in that order. Grid parameters may be
+overridden per sweep invocation (``sweep_experiment("figure8",
+client_counts=(8,))``); unknown keys raise.
 
 Parallelism hygiene (simlint rule PAR001): this module keeps **no**
 module-level mutable state — sweep definitions are plain functions and
@@ -22,8 +24,9 @@ module state would silently diverge between parent and workers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __all__ = ["SweepCell", "sweep_cells", "sweep_names"]
 
@@ -35,8 +38,7 @@ class SweepCell:
     ``params`` is a tuple of ``(name, value)`` pairs (scalars only) so
     the cell is hashable, picklable and JSON-stable — the cache key is
     derived from it. ``index`` is the cell's position in canonical
-    order; merging results sorted by ``index`` reproduces the serial
-    driver's output.
+    order; results merge sorted by ``index``.
     """
 
     sweep: str
@@ -68,251 +70,167 @@ def _merged(defaults: Dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# Sweep definitions. Each returns cells in canonical (driver loop) order.
+# Sweep definitions: the only place grid values and loop nesting live.
 # ---------------------------------------------------------------------------
 
-def _figure1_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    defaults: Dict[str, Any] = {
-        "write_latencies": (0.2e-6, 100e-6),
-        "skews": (0.0, 1e-6, 10e-6, 100e-6, 1e-3),
-        "rounds": 150 if scale == "full" else 60,
-        "seed": 3,
-    }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for t_w in grid["write_latencies"]:
-        for epsilon in grid["skews"]:
-            cells.append(_cell(
-                "figure1", len(cells),
-                f"tw={t_w * 1e6:g}us/eps={epsilon * 1e6:g}us",
-                "figure1_cell",
-                {"write_latency": t_w, "skew": epsilon,
-                 "rounds": grid["rounds"], "seed": grid["seed"]}))
-    return cells
+@dataclass(frozen=True)
+class _Grid:
+    """One sweep as a product grid.
+
+    ``axes`` lists ``(grid key, cell parameter)`` pairs, outermost loop
+    first; each cell takes one value per axis and shares every other
+    grid value. An axis whose first element is a tuple of values rather
+    than a grid key is fixed: it cannot be overridden. ``full`` holds
+    every grid value at full scale and ``quick`` only those the CI scale
+    changes.
+    """
+
+    runner: str
+    axes: Tuple[Tuple[Any, str], ...]
+    label: Callable[[Dict[str, Any]], str]
+    full: Dict[str, Any]
+    quick: Dict[str, Any]
+
+    def cells(self, sweep: str, scale: str,
+              overrides: Dict[str, Any]) -> List[SweepCell]:
+        defaults = dict(self.full)
+        if scale == "quick":
+            defaults.update(self.quick)
+        grid = _merged(defaults, overrides)
+        axis_values = [grid.pop(key) if isinstance(key, str) else key
+                       for key, _ in self.axes]
+        cells = []
+        for values in itertools.product(*axis_values):
+            params = dict(grid)
+            params.update(zip((param for _, param in self.axes), values))
+            cells.append(_cell(sweep, len(cells), self.label(params),
+                               self.runner, params))
+        return cells
 
 
-def _figure6_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    # run_figure6 iterates both backends internally (they are not a
-    # parameter), so the cell granularity is (alpha, clients); each cell
-    # carries both backends' rows and the merge orders rows
-    # alpha-major rather than the serial driver's backend-major order.
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "client_counts": (2, 4, 8, 12, 16),
-            "alphas": (0.5, 0.75, 0.95),
-            "num_keys": 400, "duration": 0.4, "warmup": 0.1, "seed": 11,
-        }
-    else:
-        defaults = {
-            "client_counts": (2, 8), "alphas": (0.5, 0.95),
-            "num_keys": 200, "duration": 0.15, "warmup": 0.04, "seed": 11,
-        }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for alpha in grid["alphas"]:
-        for num_clients in grid["client_counts"]:
-            cells.append(_cell(
-                "figure6", len(cells), f"a={alpha:g}/c={num_clients}",
-                "figure6_cell",
-                {"alpha": alpha, "num_clients": num_clients,
-                 "num_keys": grid["num_keys"],
-                 "duration": grid["duration"], "warmup": grid["warmup"],
-                 "seed": grid["seed"]}))
-    return cells
+def _one_axis(param: str) -> Callable[[Dict[str, Any]], str]:
+    return lambda p: f"{param}={p[param]:g}"
 
 
-def _figure7_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "alphas": (0.4, 0.5, 0.6, 0.7, 0.8),
-            "clock_presets": ("ptp-sw", "ntp"),
-            "backends": ("dram", "vftl", "mftl"),
-            "num_clients": 20, "num_keys": 1000,
-            "duration": 0.4, "warmup": 0.1, "seed": 13,
-        }
-    else:
-        defaults = {
-            "alphas": (0.5, 0.8), "clock_presets": ("ptp-sw", "ntp"),
-            "backends": ("dram", "mftl"), "num_clients": 10,
-            "num_keys": 1000, "duration": 0.2, "warmup": 0.05, "seed": 13,
-        }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for clock_preset in grid["clock_presets"]:
-        for backend in grid["backends"]:
-            for alpha in grid["alphas"]:
-                cells.append(_cell(
-                    "figure7", len(cells),
-                    f"{clock_preset}/{backend}/a={alpha:g}",
-                    "figure7_cell",
-                    {"clock_preset": clock_preset, "backend": backend,
-                     "alpha": alpha, "num_clients": grid["num_clients"],
-                     "num_keys": grid["num_keys"],
-                     "duration": grid["duration"],
-                     "warmup": grid["warmup"], "seed": grid["seed"]}))
-    return cells
-
-
-def _figure8_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "client_counts": (4, 8, 16, 28, 40),
-            "backends": ("dram", "vftl", "mftl"),
-            "local_validation": (True, False),
-            "alpha": 0.6, "num_keys": 3000,
-            "duration": 0.4, "warmup": 0.1, "seed": 17,
-        }
-    else:
-        defaults = {
-            "client_counts": (8, 24), "backends": ("dram", "mftl"),
-            "local_validation": (True, False),
-            "alpha": 0.6, "num_keys": 3000,
-            "duration": 0.15, "warmup": 0.04, "seed": 17,
-        }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for backend in grid["backends"]:
-        for lv in grid["local_validation"]:
-            for num_clients in grid["client_counts"]:
-                cells.append(_cell(
-                    "figure8", len(cells),
-                    f"{backend}/{'LV' if lv else 'noLV'}/c={num_clients}",
-                    "figure8_cell",
-                    {"backend": backend, "local_validation": lv,
-                     "num_clients": num_clients, "alpha": grid["alpha"],
-                     "num_keys": grid["num_keys"],
-                     "duration": grid["duration"],
-                     "warmup": grid["warmup"], "seed": grid["seed"]}))
-    return cells
-
-
-def _ablation_cells(sweep: str, runner: str, value_key: str,
-                    cell_key: str, scale: str, defaults: Dict[str, Any],
-                    overrides: Dict[str, Any]) -> List[SweepCell]:
-    grid = _merged(defaults, overrides)
-    values = grid.pop(value_key)
-    cells = []
-    for value in values:
-        params = dict(grid)
-        params[cell_key] = value
-        cells.append(_cell(
-            sweep, len(cells), f"{cell_key}={value:g}", runner, params))
-    return cells
-
-
-def _ablation_packing_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "delays": (0.0, 0.25e-3, 0.5e-3, 1e-3, 2e-3),
-            "num_keys": 2000, "get_percent": 50.0, "duration": 0.06,
-            "warmup": 0.02, "num_workers": 64, "seed": 41,
-        }
-    else:
-        defaults = {
-            "delays": (0.0, 1e-3), "num_keys": 2000, "get_percent": 50.0,
-            "duration": 0.04, "warmup": 0.01, "num_workers": 32,
-            "seed": 41,
-        }
-    return _ablation_cells("ablation-packing", "ablation_packing_cell",
-                           "delays", "delay", scale, defaults, overrides)
-
-
-def _ablation_replication_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "replica_counts": (1, 3, 5), "num_clients": 8,
-            "num_keys": 1000, "alpha": 0.6, "duration": 0.25,
-            "warmup": 0.05, "seed": 43,
-        }
-    else:
-        defaults = {
-            "replica_counts": (1, 3), "num_clients": 4, "num_keys": 1000,
-            "alpha": 0.6, "duration": 0.12, "warmup": 0.03, "seed": 43,
-        }
-    return _ablation_cells(
-        "ablation-replication", "ablation_replication_cell",
-        "replica_counts", "replicas", scale, defaults, overrides)
-
-
-def _ablation_watermark_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "intervals": (0.01, 0.05, 0.2), "num_clients": 8,
-            "num_keys": 800, "alpha": 0.7, "duration": 0.3,
-            "warmup": 0.05, "seed": 47,
-        }
-    else:
-        defaults = {
-            "intervals": (0.01, 0.2), "num_clients": 4, "num_keys": 800,
-            "alpha": 0.7, "duration": 0.15, "warmup": 0.04, "seed": 47,
-        }
-    return _ablation_cells(
-        "ablation-watermark", "ablation_watermark_cell",
-        "intervals", "interval", scale, defaults, overrides)
-
-
-def _ablation_gc_window_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "windows": (0.002, 0.01, 0.05), "num_keys": 2000,
-            "get_percent": 50.0, "duration": 0.08, "warmup": 0.02,
-            "num_workers": 64, "seed": 53,
-        }
-    else:
-        defaults = {
-            "windows": (0.002, 0.02), "num_keys": 2000,
-            "get_percent": 50.0, "duration": 0.04, "warmup": 0.01,
-            "num_workers": 32, "seed": 53,
-        }
-    return _ablation_cells(
-        "ablation-gc-window", "ablation_gc_window_cell",
-        "windows", "window", scale, defaults, overrides)
-
-
-def _ablation_caching_cells(scale, overrides):
-    if scale == "full":
-        defaults: Dict[str, Any] = {
-            "alphas": (0.4, 0.8), "num_clients": 8, "num_keys": 1000,
-            "txns_per_client": 150, "seed": 59,
-        }
-    else:
-        defaults = {
-            "alphas": (0.4, 0.8), "num_clients": 4, "num_keys": 1000,
-            "txns_per_client": 60, "seed": 59,
-        }
-    return _ablation_cells(
-        "ablation-caching", "ablation_caching_cell",
-        "alphas", "alpha", scale, defaults, overrides)
-
-
-def _nemesis_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
+def _grids() -> Dict[str, _Grid]:
     # Import deferred: cells.py is imported by spawn workers.
     from ..harness.nemesis import SCENARIOS
 
-    quick_scenarios = ("partition", "crash-restart", "clock-storm")
-    defaults: Dict[str, Any] = {
-        "scenarios": (tuple(sorted(SCENARIOS)) if scale == "full"
-                      else quick_scenarios),
-        "workload": "retwis",
-        "duration": 0.3 if scale == "full" else 0.2,
-        "fault_start": 0.05,
-        "fault_duration": 0.15 if scale == "full" else 0.1,
-        "alpha": 0.8,
+    return {
+        "table1": _Grid(
+            "table1_cell", (("get_percents", "get_percent"),),
+            lambda p: f"get={p['get_percent']:g}",
+            {"get_percents": (100, 75, 50, 25), "num_keys": 4000,
+             "duration": 0.12, "warmup": 0.04, "num_workers": 128,
+             "seed": 7},
+            {"num_keys": 2000, "duration": 0.05, "warmup": 0.02,
+             "num_workers": 64}),
+        "figure1": _Grid(
+            "figure1_cell",
+            (("write_latencies", "write_latency"), ("skews", "skew")),
+            lambda p: (f"tw={p['write_latency'] * 1e6:g}us/"
+                       f"eps={p['skew'] * 1e6:g}us"),
+            {"write_latencies": (0.2e-6, 100e-6),
+             "skews": (0.0, 1e-6, 10e-6, 100e-6, 1e-3),
+             "rounds": 150, "seed": 3},
+            {"rounds": 60}),
+        # Each figure-6 cell runs both FTL backends, so its rows merge
+        # alpha-major: (sftl, mftl) per (alpha, clients).
+        "figure6": _Grid(
+            "figure6_cell",
+            (("alphas", "alpha"), ("client_counts", "num_clients")),
+            lambda p: f"a={p['alpha']:g}/c={p['num_clients']}",
+            {"client_counts": (2, 4, 8, 12, 16),
+             "alphas": (0.5, 0.75, 0.95), "num_keys": 400,
+             "duration": 0.4, "warmup": 0.1, "seed": 11},
+            {"client_counts": (2, 8), "alphas": (0.5, 0.95),
+             "num_keys": 200, "duration": 0.15, "warmup": 0.04}),
+        "figure7": _Grid(
+            "figure7_cell",
+            (("clock_presets", "clock_preset"), ("backends", "backend"),
+             ("alphas", "alpha")),
+            lambda p: f"{p['clock_preset']}/{p['backend']}/a={p['alpha']:g}",
+            {"alphas": (0.4, 0.5, 0.6, 0.7, 0.8),
+             "clock_presets": ("ptp-sw", "ntp"),
+             "backends": ("dram", "vftl", "mftl"),
+             "num_clients": 20, "num_keys": 1000,
+             "duration": 0.4, "warmup": 0.1, "seed": 13},
+            {"alphas": (0.5, 0.8), "backends": ("dram", "mftl"),
+             "num_clients": 10, "duration": 0.2, "warmup": 0.05}),
+        "figure8": _Grid(
+            "figure8_cell",
+            (("backends", "backend"), ("local_validation", "local_validation"),
+             ("client_counts", "num_clients")),
+            lambda p: (f"{p['backend']}/"
+                       f"{'LV' if p['local_validation'] else 'noLV'}/"
+                       f"c={p['num_clients']}"),
+            {"client_counts": (4, 8, 16, 28, 40),
+             "backends": ("dram", "vftl", "mftl"),
+             "local_validation": (True, False),
+             "alpha": 0.6, "num_keys": 3000,
+             "duration": 0.4, "warmup": 0.1, "seed": 17},
+            {"client_counts": (8, 24), "backends": ("dram", "mftl"),
+             "duration": 0.15, "warmup": 0.04}),
+        "figure9": _Grid(
+            "figure9_cell",
+            ((("milana", "centiman"), "system"), ("alphas", "alpha")),
+            lambda p: f"{p['system']}/a={p['alpha']:g}",
+            {"alphas": (0.4, 0.5, 0.6, 0.7, 0.8),
+             "num_clients": 20, "num_keys": 10000, "duration": 0.3,
+             "warmup": 0.05, "dissemination_every": 15, "seed": 19},
+            {"alphas": (0.4, 0.8), "num_clients": 12, "num_keys": 4000,
+             "duration": 0.2}),
+        "ablation-packing": _Grid(
+            "ablation_packing_cell", (("delays", "delay"),),
+            _one_axis("delay"),
+            {"delays": (0.0, 0.25e-3, 0.5e-3, 1e-3, 2e-3),
+             "num_keys": 2000, "get_percent": 50.0, "duration": 0.06,
+             "warmup": 0.02, "num_workers": 64, "seed": 41},
+            {"delays": (0.0, 1e-3), "duration": 0.04, "warmup": 0.01,
+             "num_workers": 32}),
+        "ablation-replication": _Grid(
+            "ablation_replication_cell", (("replica_counts", "replicas"),),
+            _one_axis("replicas"),
+            {"replica_counts": (1, 3, 5), "num_clients": 8,
+             "num_keys": 1000, "alpha": 0.6, "duration": 0.25,
+             "warmup": 0.05, "seed": 43},
+            {"replica_counts": (1, 3), "num_clients": 4,
+             "duration": 0.12, "warmup": 0.03}),
+        "ablation-watermark": _Grid(
+            "ablation_watermark_cell", (("intervals", "interval"),),
+            _one_axis("interval"),
+            {"intervals": (0.01, 0.05, 0.2), "num_clients": 8,
+             "num_keys": 800, "alpha": 0.7, "duration": 0.3,
+             "warmup": 0.05, "seed": 47},
+            {"intervals": (0.01, 0.2), "num_clients": 4,
+             "duration": 0.15, "warmup": 0.04}),
+        "ablation-gc-window": _Grid(
+            "ablation_gc_window_cell", (("windows", "window"),),
+            _one_axis("window"),
+            {"windows": (0.002, 0.01, 0.05), "num_keys": 2000,
+             "get_percent": 50.0, "duration": 0.08, "warmup": 0.02,
+             "num_workers": 64, "seed": 53},
+            {"windows": (0.002, 0.02), "duration": 0.04, "warmup": 0.01,
+             "num_workers": 32}),
+        "ablation-caching": _Grid(
+            "ablation_caching_cell", (("alphas", "alpha"),),
+            _one_axis("alpha"),
+            {"alphas": (0.4, 0.8), "num_clients": 8, "num_keys": 1000,
+             "txns_per_client": 150, "seed": 59},
+            {"num_clients": 4, "txns_per_client": 60}),
+        "nemesis": _Grid(
+            "nemesis_cell", (("scenarios", "scenario"),),
+            lambda p: p["scenario"],
+            {"scenarios": tuple(sorted(SCENARIOS)), "workload": "retwis",
+             "duration": 0.3, "fault_start": 0.05,
+             "fault_duration": 0.15, "alpha": 0.8},
+            {"scenarios": ("partition", "crash-restart", "clock-storm"),
+             "duration": 0.2, "fault_duration": 0.1}),
     }
-    grid = _merged(defaults, overrides)
-    cells = []
-    for scenario in grid["scenarios"]:
-        cells.append(_cell(
-            "nemesis", len(cells), scenario, "nemesis_cell",
-            {"scenario": scenario, "workload": grid["workload"],
-             "duration": grid["duration"],
-             "fault_start": grid["fault_start"],
-             "fault_duration": grid["fault_duration"],
-             "alpha": grid["alpha"]}))
-    return cells
 
 
-def _sansim_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
+def _sansim_cells(sweep: str, scale: str,
+                  overrides: Dict[str, Any]) -> List[SweepCell]:
     # Targeted-policy trials feed hot locations discovered by earlier
     # trials back into the scheduler, which is inherently sequential;
     # the sweep therefore runs only the feedback-free fifo/random
@@ -335,7 +253,8 @@ def _sansim_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
     return cells
 
 
-def _selftest_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
+def _selftest_cells(sweep: str, scale: str,
+                    overrides: Dict[str, Any]) -> List[SweepCell]:
     # Hidden sweep used by the test suite: cheap deterministic cells
     # with an optional injected failure at one index.
     defaults: Dict[str, Any] = {
@@ -354,21 +273,12 @@ def _selftest_cells(scale: str, overrides: Dict[str, Any]) -> List[SweepCell]:
     return cells
 
 
-def _definitions() -> Dict[str, Any]:
-    return {
-        "figure1": _figure1_cells,
-        "figure6": _figure6_cells,
-        "figure7": _figure7_cells,
-        "figure8": _figure8_cells,
-        "ablation-packing": _ablation_packing_cells,
-        "ablation-replication": _ablation_replication_cells,
-        "ablation-watermark": _ablation_watermark_cells,
-        "ablation-gc-window": _ablation_gc_window_cells,
-        "ablation-caching": _ablation_caching_cells,
-        "nemesis": _nemesis_cells,
-        "sansim": _sansim_cells,
-        "selftest": _selftest_cells,
-    }
+def _definitions() -> Dict[str, Callable[..., List[SweepCell]]]:
+    definitions: Dict[str, Callable[..., List[SweepCell]]] = {
+        name: grid.cells for name, grid in _grids().items()}
+    definitions["sansim"] = _sansim_cells
+    definitions["selftest"] = _selftest_cells
+    return definitions
 
 
 def sweep_names(include_hidden: bool = False) -> Tuple[str, ...]:
@@ -382,7 +292,7 @@ def sweep_cells(name: str, scale: str = "quick",
                 **overrides: Any) -> Sequence[SweepCell]:
     """Enumerate the cells of sweep ``name`` in canonical order.
 
-    ``scale`` selects the full grids (driver defaults) or the quick CI
+    ``scale`` selects the full (paper-scale) grids or the quick CI
     grids; keyword overrides replace individual grid/shared parameters
     (unknown keys raise, so typos cannot silently shrink a sweep).
     """
@@ -393,4 +303,4 @@ def sweep_cells(name: str, scale: str = "quick",
             f"{sorted(definitions)}")
     if scale not in ("quick", "full"):
         raise ValueError(f"unknown scale {scale!r}; use 'quick' or 'full'")
-    return definitions[name](scale, dict(overrides))
+    return definitions[name](name, scale, dict(overrides))

@@ -125,9 +125,7 @@ class SweepResult:
         """Merge cell payloads into one ExperimentResult.
 
         Rows concatenate in cell order; series points append per key in
-        cell order — for sweeps whose cell order matches the serial
-        driver's loop nesting (figures 1/7/8, the ablations) the merged
-        result equals the driver's output exactly.
+        cell order, so a figure's series follow the grid's loop nesting.
         """
         if not self.results:
             return ExperimentResult(
@@ -280,11 +278,12 @@ def sweep_experiment(
     refresh: bool = False,
     **overrides: Any,
 ) -> ExperimentResult:
-    """Drop-in ExperimentResult via the sweep runner.
+    """Run sweep ``name`` and merge it into one ExperimentResult.
 
-    The benchmark drivers in ``benchmarks/`` call this instead of the
-    serial ``run_figureX`` drivers; keyword overrides are the same grid
-    parameters those drivers take.
+    This is how every table, figure and ablation is regenerated in
+    Python (the benchmarks in ``benchmarks/`` and the ``figure6``
+    schedule fingerprint call it); keyword overrides replace grid values
+    of :mod:`repro.sweep.cells` at the chosen ``scale``.
     """
     return run_sweep(name, scale=scale, jobs=jobs, cache=cache,
                      refresh=refresh,

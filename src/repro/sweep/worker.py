@@ -1,7 +1,8 @@
 """Run one sweep cell; return a typed, picklable result.
 
-Every cell runner returns the same payload shape — a JSON-safe dict
-with ``name``/``headers``/``rows``/``series``/``notes``, i.e. an
+Every cell runner is a point function taking the cell's parameters as
+keywords and returning the same payload shape — a dict with
+``name``/``headers``/``rows``/``series``/``notes``, i.e. an
 :class:`~repro.harness.experiments.ExperimentResult` flattened to plain
 lists — so merging is uniform across figures, ablations, nemesis
 scenarios and sansim trials, and the merged report serializes
@@ -76,128 +77,24 @@ def _jsonify(value: Any) -> Any:
         f"{value!r}")
 
 
-def _experiment_payload(result: Any) -> Dict[str, Any]:
-    """Flatten an ExperimentResult to the uniform payload shape."""
-    return _jsonify({
-        "name": result.name,
-        "headers": result.headers,
-        "rows": result.rows,
-        "series": {key: [xs, ys]
-                   for key, (xs, ys) in result.series.items()},
-        "notes": result.notes,
-    })
-
-
 # ---------------------------------------------------------------------------
-# Cell runners. Imports are deferred so a spawn worker only pays for the
-# subsystems its cells actually touch.
+# Cell runners not owned by the harness point modules. Imports are
+# deferred so a spawn worker only pays for the subsystems its cells touch.
 # ---------------------------------------------------------------------------
 
-def _figure1_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure1
-
-    return _experiment_payload(run_figure1(
-        write_latencies=(params["write_latency"],),
-        skews=(params["skew"],),
-        rounds=params["rounds"], seed=params["seed"]))
-
-
-def _figure6_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure6
-
-    return _experiment_payload(run_figure6(
-        client_counts=(params["num_clients"],),
-        alphas=(params["alpha"],),
-        num_keys=params["num_keys"], duration=params["duration"],
-        warmup=params["warmup"], seed=params["seed"]))
-
-
-def _figure7_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure7
-
-    return _experiment_payload(run_figure7(
-        alphas=(params["alpha"],),
-        clock_presets=(params["clock_preset"],),
-        backends=(params["backend"],),
-        num_clients=params["num_clients"], num_keys=params["num_keys"],
-        duration=params["duration"], warmup=params["warmup"],
-        seed=params["seed"]))
-
-
-def _figure8_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.experiments import run_figure8
-
-    return _experiment_payload(run_figure8(
-        client_counts=(params["num_clients"],),
-        backends=(params["backend"],),
-        local_validation=(params["local_validation"],),
-        alpha=params["alpha"], num_keys=params["num_keys"],
-        duration=params["duration"], warmup=params["warmup"],
-        seed=params["seed"]))
-
-
-def _ablation_packing_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_packing_delay_ablation
-
-    return _experiment_payload(run_packing_delay_ablation(
-        delays=(params["delay"],), num_keys=params["num_keys"],
-        get_percent=params["get_percent"], duration=params["duration"],
-        warmup=params["warmup"], num_workers=params["num_workers"],
-        seed=params["seed"]))
-
-
-def _ablation_replication_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_replication_factor_ablation
-
-    return _experiment_payload(run_replication_factor_ablation(
-        replica_counts=(params["replicas"],),
-        num_clients=params["num_clients"], num_keys=params["num_keys"],
-        alpha=params["alpha"], duration=params["duration"],
-        warmup=params["warmup"], seed=params["seed"]))
-
-
-def _ablation_watermark_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_watermark_interval_ablation
-
-    return _experiment_payload(run_watermark_interval_ablation(
-        intervals=(params["interval"],),
-        num_clients=params["num_clients"], num_keys=params["num_keys"],
-        alpha=params["alpha"], duration=params["duration"],
-        warmup=params["warmup"], seed=params["seed"]))
-
-
-def _ablation_gc_window_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_gc_window_ablation
-
-    return _experiment_payload(run_gc_window_ablation(
-        windows=(params["window"],), num_keys=params["num_keys"],
-        get_percent=params["get_percent"], duration=params["duration"],
-        warmup=params["warmup"], num_workers=params["num_workers"],
-        seed=params["seed"]))
-
-
-def _ablation_caching_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.ablations import run_client_caching_ablation
-
-    return _experiment_payload(run_client_caching_ablation(
-        alphas=(params["alpha"],), num_clients=params["num_clients"],
-        num_keys=params["num_keys"],
-        txns_per_client=params["txns_per_client"],
-        seed=params["seed"]))
-
-
-def _nemesis_cell(params: Dict[str, Any]) -> Dict[str, Any]:
+def _nemesis_cell(scenario: str, workload: str, duration: float,
+                  fault_start: float, fault_duration: float,
+                  alpha: float) -> Dict[str, Any]:
     from ..harness.nemesis import nemesis_config, run_nemesis
 
-    scenario = params["scenario"]
     config = nemesis_config(
         with_master=(scenario == "isolate-master"))
     result = run_nemesis(
-        scenario, config=config, workload=params["workload"],
-        duration=params["duration"], fault_start=params["fault_start"],
-        fault_duration=params["fault_duration"], alpha=params["alpha"])
+        scenario, config=config, workload=workload,
+        duration=duration, fault_start=fault_start,
+        fault_duration=fault_duration, alpha=alpha)
     metrics = result.metrics
-    return _jsonify({
+    return {
         "name": "Nemesis scenario sweep",
         "headers": ["scenario", "committed", "aborted", "abort rate",
                     "txn/s", "audit passed", "records synced"],
@@ -206,17 +103,18 @@ def _nemesis_cell(params: Dict[str, Any]) -> Dict[str, Any]:
                   result.passed, result.records_synced]],
         "series": {},
         "notes": "Every scenario must pass its post-heal audit.",
-    })
+    }
 
 
-def _sansim_cell(params: Dict[str, Any]) -> Dict[str, Any]:
+def _sansim_cell(workload: str, trial: int, policy: str,
+                 seed: int) -> Dict[str, Any]:
     from ..sansim.explorer import TrialSpec, run_trial
 
-    spec = TrialSpec(workload=params["workload"], trial=params["trial"],
-                     policy=params["policy"], seed=params["seed"])
+    spec = TrialSpec(workload=workload, trial=trial, policy=policy,
+                     seed=seed)
     result = run_trial(spec)
     fingerprints = sorted({w.fingerprint for w in result.witnesses})
-    return _jsonify({
+    return {
         "name": "Sansim trial sweep",
         "headers": ["workload", "trial", "policy", "witnesses",
                     "distinct fingerprints"],
@@ -225,49 +123,60 @@ def _sansim_cell(params: Dict[str, Any]) -> Dict[str, Any]:
         "series": {},
         "notes": "Feedback-free policies only (fifo/random); targeted "
                  "trials need cross-trial state and stay serial.",
-    })
+    }
 
 
-def _selftest_cell(params: Dict[str, Any]) -> Dict[str, Any]:
-    if params["fail"]:
+def _selftest_cell(value: int, fail: bool, seed: int) -> Dict[str, Any]:
+    if fail:
         raise ValueError("selftest cell failure injected via fail_at")
-    value = params["value"]
-    seed = params["seed"]
-    return _jsonify({
+    return {
         "name": "Sweep selftest",
         "headers": ["value", "square", "scaled"],
         "rows": [[value, value * value, value * 0.1 + seed]],
         "series": {"square": [[value], [value * value]]},
         "notes": "",
-    })
+    }
 
 
-def _runner_for(name: str) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
-    # Rebuilt per call rather than held as module state (PAR001).
-    runners: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-        "figure1_cell": _figure1_cell,
-        "figure6_cell": _figure6_cell,
-        "figure7_cell": _figure7_cell,
-        "figure8_cell": _figure8_cell,
-        "ablation_packing_cell": _ablation_packing_cell,
-        "ablation_replication_cell": _ablation_replication_cell,
-        "ablation_watermark_cell": _ablation_watermark_cell,
-        "ablation_gc_window_cell": _ablation_gc_window_cell,
-        "ablation_caching_cell": _ablation_caching_cell,
+def _runner_for(name: str) -> Callable[..., Dict[str, Any]]:
+    """The point function for runner ``name``.
+
+    Rebuilt per call rather than held as module state (PAR001). The
+    point modules are imported only for their own runners, so spawn
+    workers running only selftest cells never load the harness.
+    """
+    local: Dict[str, Callable[..., Dict[str, Any]]] = {
         "nemesis_cell": _nemesis_cell,
         "sansim_cell": _sansim_cell,
         "selftest_cell": _selftest_cell,
     }
-    if name not in runners:
+    if name in local:
+        return local[name]
+    from ..harness import ablations, experiments
+
+    points: Dict[str, Callable[..., Dict[str, Any]]] = {
+        "table1_cell": experiments.table1_cell,
+        "figure1_cell": experiments.figure1_cell,
+        "figure6_cell": experiments.figure6_cell,
+        "figure7_cell": experiments.figure7_cell,
+        "figure8_cell": experiments.figure8_cell,
+        "figure9_cell": experiments.figure9_cell,
+        "ablation_packing_cell": ablations.ablation_packing_cell,
+        "ablation_replication_cell": ablations.ablation_replication_cell,
+        "ablation_watermark_cell": ablations.ablation_watermark_cell,
+        "ablation_gc_window_cell": ablations.ablation_gc_window_cell,
+        "ablation_caching_cell": ablations.ablation_caching_cell,
+    }
+    if name not in points:
         raise ValueError(f"unknown cell runner {name!r}")
-    return runners[name]
+    return points[name]
 
 
 def run_cell(cell: SweepCell) -> CellResult:
     """Execute one cell in the current process and package the result."""
     runner = _runner_for(cell.runner)
     start = host_clock()
-    payload = runner(cell.params_dict())
+    payload = _jsonify(runner(**cell.params_dict()))
     seconds = host_clock() - start
     return CellResult(
         sweep=cell.sweep, index=cell.index, label=cell.label,

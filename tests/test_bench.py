@@ -141,13 +141,6 @@ class TestReports:
         assert host == host_metadata()
         assert host["python"] and host["platform"]
 
-    def test_schema1_report_still_loads(self, tmp_path):
-        # Pre-host-metadata baselines keep working.
-        path = str(tmp_path / "old.json")
-        with open(path, "w") as handle:
-            json.dump({"schema": 1, "quick": True, "results": []}, handle)
-        assert load_report(path)["schema"] == 1
-
 
 class TestPerMetricTolerances:
     def _mixed_results(self):

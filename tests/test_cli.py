@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.sweep import sweep_names
 
 
 class TestList:
@@ -16,14 +17,17 @@ class TestList:
     def test_experiment_registry_covers_all_figures(self):
         for name in ("table1", "figure1", "figure6", "figure7",
                      "figure8", "figure9"):
-            assert name in EXPERIMENTS
+            assert name in sweep_names()
 
 
 class TestExperimentCommand:
+    """Tables and figures are regenerated by ``repro sweep``; the old
+    ``repro experiment`` command no longer exists."""
+
     def test_quick_figure1(self, capsys, tmp_path):
-        out_file = tmp_path / "fig1.txt"
-        assert main(["experiment", "figure1", "--scale", "quick",
-                     "--out", str(out_file)]) == 0
+        out_file = tmp_path / "fig1.json"
+        assert main(["sweep", "figure1", "--scale", "quick", "-j", "1",
+                     "--no-cache", "--out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "Impact of Clock Skew" in out
         assert out_file.exists()
@@ -31,7 +35,7 @@ class TestExperimentCommand:
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
-            main(["experiment", "figure42"])
+            main(["experiment", "figure1"])
 
 
 class TestSweepCommand:

@@ -3,18 +3,17 @@ fault plans, protocol hardening under faults, and post-heal audits."""
 
 import pytest
 
-from repro.faults import (
-    FaultyClock,
-    LinkFaults,
+from repro.clocks.anomalies import FaultyClock
+from repro.harness.audit import run_audit
+from repro.harness.chaos import (
     NemesisPlan,
     clock_storm,
     partition_primary_from_backups,
-    run_audit,
-    run_nemesis,
-    nemesis_config,
 )
 from repro.harness.cluster import Cluster, ClusterConfig
+from repro.harness.nemesis import nemesis_config, run_nemesis
 from repro.milana import ABORTED, COMMITTED, PREPARED, TransactionRecord
+from repro.net.faults import LinkFaults
 from repro.net.rpc import RpcTimeout
 from repro.sim import SeededRng
 from repro.verify import TxnEntry
@@ -167,7 +166,7 @@ class TestRetryBackoff:
     def test_retries_back_off_between_attempts(self):
         cluster = make_cluster()
         client = cluster.clients[0]
-        cluster.fail_server("srv-0-1")
+        cluster.pause_server("srv-0-1")
 
         def probe():
             start = cluster.sim.now
@@ -189,7 +188,7 @@ class TestRetryBackoff:
         def measure():
             cluster = make_cluster()
             client = cluster.clients[0]
-            cluster.fail_server("srv-0-1")
+            cluster.pause_server("srv-0-1")
 
             def probe():
                 start = cluster.sim.now

@@ -292,8 +292,8 @@ class TestRpc:
 
 
 class TestDeliveryFastPath:
-    """The fast-path arrival event and the legacy process chain must
-    produce identical message schedules; only host speed may differ."""
+    """Every message arrives as one pre-succeeded delivery event, with or
+    without an active link-fault table."""
 
     def _run_exchange(self, activate_faults):
         sim = Simulator()
@@ -304,8 +304,7 @@ class TestDeliveryFastPath:
         network.register("tx")
         if activate_faults:
             # A blocked edge between two ghost nodes flips the table to
-            # active — forcing every real message down the legacy
-            # process chain — without touching tx -> rx traffic.
+            # active without touching tx -> rx traffic.
             network.install_faults().block("ghost-a", "ghost-b")
             assert network.faults.active
         received = []
@@ -325,12 +324,44 @@ class TestDeliveryFastPath:
         sim.run_until_event(done, limit=1.0)
         return received, network.stats
 
-    def test_fast_and_slow_paths_deliver_identically(self):
-        fast_log, fast_stats = self._run_exchange(activate_faults=False)
-        slow_log, slow_stats = self._run_exchange(activate_faults=True)
-        assert fast_log == slow_log
-        assert fast_stats.messages_delivered == slow_stats.messages_delivered
-        assert fast_stats.total_bytes == slow_stats.total_bytes
+    def test_active_faults_elsewhere_leave_edge_schedule_unchanged(self):
+        quiet_log, quiet_stats = self._run_exchange(activate_faults=False)
+        faulty_log, faulty_stats = self._run_exchange(activate_faults=True)
+        assert quiet_log == faulty_log
+        assert (quiet_stats.messages_delivered
+                == faulty_stats.messages_delivered)
+        assert quiet_stats.total_bytes == faulty_stats.total_bytes
+
+    def test_active_faults_keep_sanitizer_payload_clock(self):
+        # Under the sansim runtime a delivered message must carry its
+        # sender's clock, or the receiver's dispatch loop falls back to
+        # the ambient clock and the happens-before edge is lost.
+        from repro.sansim import SanitizerRuntime, TracedSimulator
+
+        runtime = SanitizerRuntime()
+        sim = TracedSimulator(tracer=runtime)
+        network = Network(sim, SeededRng(11), latency=FixedLatency(1e-3))
+        network.register("rx")
+        network.register("tx")
+        faults = network.install_faults()
+        faults.block("ghost-a", "ghost-b")
+        faults.set_extra_latency(2e-3, src="tx", dst="rx")
+        assert faults.active
+        message = ("msg", 0)
+        sender_clock = {}
+
+        def sender():
+            runtime.on_write(("tx", "state"))
+            network.send("tx", "rx", message)
+            sender_clock.update(runtime._current.clock)
+            yield sim.timeout(0)
+
+        sim.process(sender())
+        sim.run()
+        assert network.stats.messages_delivered == 1
+        assert sim.now == pytest.approx(3e-3)
+        assert sender_clock
+        assert runtime._payload_clocks[id(message)] == sender_clock
 
     def test_fast_path_drops_on_crash_during_flight(self):
         sim = Simulator()

@@ -4,15 +4,15 @@ The contract under test: for any ``-j`` value and any cache state, a
 sweep's merged report is **byte-identical** to the serial run — workers
 race only for completion order, which the canonical-order merge
 discards. The cheap hidden ``selftest`` sweep keeps the parallel
-determinism tests fast; one real (tiny) figure-1 sweep pins merge
-equality against the serial harness driver.
+determinism tests fast; every real sweep, run once on a tiny grid, pins
+the SHA-256 of its merged rendering.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.harness import run_figure1
 from repro.sweep import (
     CellCache,
     SweepWorkerError,
@@ -100,15 +100,67 @@ class TestParallelDeterminism:
         assert default_jobs() >= 1
 
 
-class TestMergeMatchesSerialDriver:
-    def test_figure1_sweep_equals_driver(self):
-        grid = dict(write_latencies=(0.2e-6,), skews=(0.0, 1e-6),
-                    rounds=10, seed=3)
-        merged = sweep_experiment("figure1", jobs=1, **grid)
-        serial = run_figure1(**grid)
-        assert merged.render() == serial.render()
-        assert merged.rows == serial.rows
-        assert merged.series == serial.series
+#: Tiny grid per sweep -> SHA-256 of the merged ``render()``. The digests
+#: were recorded from the serial per-figure drivers (table 1 and figure 9)
+#: and the sweep runner (the rest) that the point functions replaced, so
+#: a mismatch means a figure's numbers or layout moved.
+GOLDEN_RENDERS = {
+    "table1": (dict(get_percents=(100, 25), num_keys=400, duration=0.01,
+                    warmup=0.005, num_workers=16, seed=7),
+               "955342f2240355e409a6351dbfc3226886f1ae2baac7a7415483816217a4021b"),
+    "figure1": (dict(write_latencies=(0.2e-6, 100e-6), skews=(0.0, 1e-3),
+                     rounds=10),
+                "1dac145325d8cd3d0c5dad4b6291e0d72dfb5665a1d62c4caf96c599707443f7"),
+    "figure6": (dict(client_counts=(2,), alphas=(0.95,), num_keys=100,
+                     duration=0.03, warmup=0.01),
+                "3a3aa14955954378d3d9535d5f5373157af8c1396a2b758f1611ee1f648d45b2"),
+    "figure7": (dict(alphas=(0.8,), clock_presets=("ntp",),
+                     backends=("dram", "mftl"), num_clients=4,
+                     num_keys=200, duration=0.03, warmup=0.01),
+                "129c062df757f45759c0cbda792bf43658f7d55ab36636159e88a66aae4e7f8e"),
+    "figure8": (dict(client_counts=(4,), backends=("dram",), num_keys=300,
+                     duration=0.03, warmup=0.01),
+                "16e109673d2c370cb97ad3d60777e1805760a1bb4a1e2ada9946ff85594db339"),
+    "figure9": (dict(alphas=(0.4, 0.8), num_clients=4, num_keys=300,
+                     duration=0.03, warmup=0.01, dissemination_every=15,
+                     seed=19),
+                "5966cdcf2a5ab5450f92b1d68239e5f72e3a6b6bb18da3f0d4a97bc9e9516b63"),
+    "ablation-packing": (dict(delays=(0.0, 1e-3), num_keys=400,
+                              duration=0.01, warmup=0.005, num_workers=8),
+                         "d9c35a9261318675ed46fe711466edd074b1650b8e9c2d6dc7e39a3be7ce783f"),
+    "ablation-replication": (dict(replica_counts=(1, 3), num_clients=2,
+                                  num_keys=200, duration=0.03,
+                                  warmup=0.01),
+                             "966c4dc0ba1e230a32b5f72fe0cd2b45a24d0102e043cbfdc397a174e0452c8e"),
+    "ablation-watermark": (dict(intervals=(0.01, 0.05), num_clients=2,
+                                num_keys=200, duration=0.03, warmup=0.01),
+                           "11ff0467111710f1e0cbbd3bd55e0b11251c708dedc8012900e8ebccff56d618"),
+    "ablation-gc-window": (dict(windows=(0.002, 0.01), num_keys=400,
+                                duration=0.01, warmup=0.005,
+                                num_workers=8),
+                           "f70ff14d44e9d0683078ae2ade90bbe8239f9c9a9f138824dc0dc13f64baa830"),
+    "ablation-caching": (dict(alphas=(0.8,), num_clients=2, num_keys=200,
+                              txns_per_client=10),
+                         "39718fcdac9b311c6a976d97ef2c4956643edf56c140e37f2a5718316299e8c4"),
+    "nemesis": (dict(scenarios=("partition",), duration=0.08,
+                     fault_start=0.02, fault_duration=0.03),
+                "b9df8942f748c0862631632eccc93ed6c36d1c4442bf0fa765355772a4d1d879"),
+    "sansim": (dict(workloads=("ctp-race",), trials=2),
+               "a18e50f6a312a877ac100caaef73738944d9d3eb672daad8605994f690d38966"),
+}
+
+
+class TestSweepGoldens:
+    def test_every_sweep_has_a_golden(self):
+        assert sorted(GOLDEN_RENDERS) == sorted(sweep_names())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RENDERS))
+    def test_merged_render_matches_golden(self, name):
+        overrides, digest = GOLDEN_RENDERS[name]
+        merged = sweep_experiment(name, jobs=1, scale="quick", **overrides)
+        rendered = merged.render()
+        assert hashlib.sha256(rendered.encode()).hexdigest() == digest, \
+            rendered
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class TestProtocolTracing:
             backend="dram", populate_keys=5, seed=131))
         tracer = Tracer(cluster.sim, categories={"net"})
         cluster.network.tracer = tracer
-        cluster.fail_server("srv-0-1")
+        cluster.pause_server("srv-0-1")
         client = cluster.clients[0]
 
         def work():
